@@ -1014,13 +1014,18 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
         fresh more-specifics refuse the patch and fall back, so both
         paths are measured on the same coalesced stream. Bursts whose
         net delta is empty are skipped — the no-change republish is a
-        record allocation and would flatter the patched mean. -- *)
+        record allocation and would flatter the patched mean. A
+        non-empty burst whose index is a multiple of [full_every] also
+        times a full [Plane.publish] of the same cover, so the
+        patched-vs-full speedup is measured on the same table even
+        when no patch is refused. -- *)
   let republish =
     let default_nh = Nexthop.of_int 33 in
     let spec = Cfca_traffic.Trace.make ~packets:0 ~updates:[||] () in
     let flow = Cfca_traffic.Trace.flow_gen spec rib in
     let burst = 16 in
     let bursts = 48 in
+    let full_every = 8 in
     let churn =
       Cfca_traffic.Update_gen.generate
         {
@@ -1088,7 +1093,14 @@ let mt_lookup_target mult ~emit_json ~domain_counts ~min_speedup =
         end;
         (* a single idle reader: every retired generation frees at once,
            bounding the 2^24-slot root arrays alive between bursts *)
-        ignore (Cfca_mt.Plane.collect plane)
+        ignore (Cfca_mt.Plane.collect plane);
+        if b mod full_every = 0 then begin
+          let t0 = Unix.gettimeofday () in
+          ignore (Cfca_mt.Plane.publish plane cover);
+          full_s := !full_s +. (Unix.gettimeofday () -. t0);
+          incr full;
+          ignore (Cfca_mt.Plane.collect plane)
+        end
       end
     done;
     let mean s n = if n = 0 then 0.0 else s *. 1e6 /. float_of_int n in

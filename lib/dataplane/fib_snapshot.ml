@@ -220,15 +220,20 @@ let refresh t tree =
   t.dirty_lookups <- 0;
   t.epoch <- t.epoch + 1
 
+(* One right-to-left walk consing onto the result: the list comes out
+   in [Bintrie.iter_in_fib]'s left-to-right order with no reversal. *)
 let cover tree =
-  let acc = ref [] in
-  Bintrie.iter_in_fib
-    (fun node ->
-      acc :=
-        (Bintrie.Node.prefix tree node, Bintrie.Node.installed_nh tree node)
-        :: !acc)
-    tree;
-  List.rev !acc
+  let rec go node acc =
+    if Bintrie.Node.status tree node = Bintrie.In_fib then
+      (Bintrie.Node.prefix tree node, Bintrie.Node.installed_nh tree node)
+      :: acc
+    else
+      let r = Bintrie.child tree node true in
+      let acc = if Bintrie.is_nil r then acc else go r acc in
+      let l = Bintrie.child tree node false in
+      if Bintrie.is_nil l then acc else go l acc
+  in
+  go (Bintrie.root tree) []
 
 (* The authoritative walk, equivalent to [Bintrie.lookup_in_fib] but
    raising on a coverage lapse instead of returning a sentinel. *)

@@ -101,14 +101,15 @@ let publish_delta t ~changed ~resolve routes =
         Some { cur with g_epoch = epoch; g_live = Atomic.make true }
     | _ -> (
         let cur = Epoch.current t.hub in
-        let flat = F.copy ~entries:(List.length routes) cur.g_flat in
+        let n = List.length routes in
+        let flat = F.copy ~entries:n cur.g_flat in
         match F.patch flat ~budget:t.patch_budget ~resolve changed with
         | Ok _ ->
             Some
               {
                 g_epoch = epoch;
                 g_flat = flat;
-                g_routes = List.length routes;
+                g_routes = n;
                 g_default = t.default_nh;
                 g_live = Atomic.make true;
               }

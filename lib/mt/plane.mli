@@ -92,7 +92,10 @@ val publish_delta :
   int
 (** Install the next generation by patching a {e copy} of the current
     compiled table instead of compiling [routes] from scratch, so the
-    republish cost scales with the delta, not the table. [changed]
+    republish cost scales with the delta, not the table: the copy
+    shares every root chunk and spill segment with the current
+    generation ({!Cfca_trie.Flat_lpm.copy}), so it costs the chunk
+    directory plus the chunks the patch writes. [changed]
     lists every prefix whose forwarding mapping may have moved since
     the current generation (installs, removals, and next-hop rewrites —
     the compiled payloads here are next-hops, so rewrites matter,

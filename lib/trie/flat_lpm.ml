@@ -15,12 +15,40 @@ let result_length r = r land 0x3F
 
 type variant = Dir | Poptrie
 
+(* The DIR root is paged: cell [i] lives at
+   [d_chunks.(i lsr chunk_bits).(i land chunk_mask)]. A table built
+   with a root stride under [chunk_bits] has one chunk of [2^root_bits]
+   cells, which the same constant shift and mask address. Generations
+   produced by [copy] share chunks, and so do the slots of one table
+   whose chunks are wholly uniform; [d_owned] records which slots this
+   table may write in place, and [patch] copies any other slot's chunk
+   on its first write (path copying over a two-level array). *)
+let chunk_bits = 12
+
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+(* Spill blocks are paged the same way: block [b] starts at word
+   [((b land seg_mask) lsl 8)] of segment [b lsr seg_bits]. Every
+   segment but the last holds exactly [2^seg_bits] blocks and the last
+   holds exactly the blocks in use, so there is no slack. Segments are
+   never written after creation: growth copies the partial tail into a
+   fresh segment, so a generation that shares the segment directory
+   keeps reading its own blocks. *)
+let seg_bits = 4
+
+let seg_mask = (1 lsl seg_bits) - 1
+
+let seg_words = 256 lsl seg_bits
+
 type dir = {
   d_root_bits : int;
   d_pad : int;  (* zero-padding bits so 8-bit levels never under-shift *)
-  d_root : int array;
-  mutable d_spill : int array;  (* chained 256-slot blocks *)
-  d_spill_base : int;  (* spill length at build time (orphan accounting) *)
+  d_chunks : int array array;  (* this table's own directory *)
+  d_owned : Bytes.t;
+      (* per slot: '\001' when no other table or slot reads its chunk *)
+  mutable d_spill : int array array;  (* segments of chained 256-slot blocks *)
+  d_spill_base : int;  (* spill words at build time (orphan accounting) *)
+  d_entries : int;
 }
 
 type pop = {
@@ -29,19 +57,26 @@ type pop = {
   p_root : int array;
   p_nodes : int array;  (* 4 words per node: vec, leafvec, child base, leaf base *)
   p_leaves : int array;
+  p_entries : int;
 }
 
-type repr = Dir_repr of dir | Pop_repr of pop
+(* No wrapper record around the variant: a lookup reaches the layout's
+   arrays in as few dependent loads as possible. *)
+type t = Dir_repr of dir | Pop_repr of pop
 
-type t = { repr : repr; built_from : int }
+let variant t = match t with Dir_repr _ -> Dir | Pop_repr _ -> Poptrie
 
-let variant t = match t.repr with Dir_repr _ -> Dir | Pop_repr _ -> Poptrie
+let entries t = match t with Dir_repr d -> d.d_entries | Pop_repr p -> p.p_entries
 
-let entries t = t.built_from
+let spill_words segs =
+  match Array.length segs with
+  | 0 -> 0
+  | n -> ((n - 1) * seg_words) + Array.length segs.(n - 1)
 
 let memory_words t =
-  match t.repr with
-  | Dir_repr d -> Array.length d.d_root + Array.length d.d_spill
+  match t with
+  | Dir_repr d ->
+      Array.length d.d_chunks + (1 lsl d.d_root_bits) + spill_words d.d_spill
   | Pop_repr p ->
       Array.length p.p_root + Array.length p.p_nodes + Array.length p.p_leaves
 
@@ -82,6 +117,27 @@ module Gbuf = struct
 
   let contents t = Array.sub t.a 0 t.len
 end
+
+(* The spill segments [segs] extended by the blocks in [gb]. Full
+   segments are shared; only a partial tail segment is copied, into a
+   fresh segment sized exactly to the blocks it then holds. *)
+let spill_append segs gb =
+  let old_words = spill_words segs in
+  let words = old_words + Gbuf.length gb in
+  let first = old_words / seg_words in
+  Array.init
+    ((words + seg_words - 1) / seg_words)
+    (fun s ->
+      if s < first then segs.(s)
+      else begin
+        let lo = s * seg_words in
+        let seg = Array.make (min seg_words (words - lo)) 0 in
+        let from_old = max 0 (old_words - lo) in
+        if from_old > 0 then Array.blit segs.(s) 0 seg 0 from_old;
+        Array.blit gb.Gbuf.a (lo + from_old - old_words) seg from_old
+          (Array.length seg - from_old);
+        seg
+      end)
 
 (* -- build-time binary trie ----------------------------------------- *)
 
@@ -124,28 +180,67 @@ let build_trie prefixes =
 
 let is_bleaf n = n.zero == None && n.one == None
 
-(* Fill the [2^k] slots starting at [off] of the direct-indexed root
-   from the subtree [n], leaf-pushing [inherited] (the encoded result
-   of the longest enclosing bound prefix, -1 if none) into uncovered
-   ranges. Stride boundaries that still have deeper prefixes get
-   whatever pointer [on_subtree] compiles them into. *)
-let fill_root root k0 node on_subtree =
-  let rec fill off k n inherited =
+(* Compile the direct-indexed root, [2^k0] cells paged into chunks of
+   [2^cb] (cb <= k0), from the trie [node], leaf-pushing the encoded
+   result of the longest enclosing bound prefix (-1 if none) into
+   uncovered ranges. Stride boundaries that still have deeper prefixes
+   get whatever pointer [on_subtree] compiles them into. Each chunk is
+   allocated as the walk reaches it, except that every chunk lying
+   wholly under one leaf shares one array per value: unrouted space and
+   short prefixes cost no memory per chunk. Returns the chunks and the
+   ownership bytes ('\000' for the shared ones, see [dir]). *)
+let fill_root ~k0 ~cb node on_subtree =
+  let chunks = Array.make (1 lsl (k0 - cb)) [||] in
+  let owned = Bytes.make (Array.length chunks) '\001' in
+  let uniform = Hashtbl.create 16 in
+  let rec fill_in c off k n inherited =
     let inherited = if n.res >= 0 then n.res else inherited in
     if k = 0 then
-      if is_bleaf n then root.(off) <- inherited + 1
-      else root.(off) <- on_subtree n inherited
+      if is_bleaf n then c.(off) <- inherited + 1
+      else c.(off) <- on_subtree n inherited
     else begin
       let half = 1 lsl (k - 1) in
       (match n.zero with
-      | Some c -> fill off (k - 1) c inherited
-      | None -> Array.fill root off half (inherited + 1));
+      | Some z -> fill_in c off (k - 1) z inherited
+      | None -> Array.fill c off half (inherited + 1));
       match n.one with
-      | Some c -> fill (off + half) (k - 1) c inherited
-      | None -> Array.fill root (off + half) half (inherited + 1)
+      | Some o -> fill_in c (off + half) (k - 1) o inherited
+      | None -> Array.fill c (off + half) half (inherited + 1)
     end
   in
-  fill 0 k0 node (-1)
+  (* [off] counts chunks here; [k] bits remain above the chunk level *)
+  let rec fill off k n inherited =
+    if k = 0 then begin
+      let c = Array.make (1 lsl cb) 0 in
+      chunks.(off) <- c;
+      fill_in c 0 cb n inherited
+    end
+    else begin
+      let inherited = if n.res >= 0 then n.res else inherited in
+      let half = 1 lsl (k - 1) in
+      let leaf off =
+        let v = inherited + 1 in
+        let c =
+          match Hashtbl.find_opt uniform v with
+          | Some c -> c
+          | None ->
+              let c = Array.make (1 lsl cb) v in
+              Hashtbl.add uniform v c;
+              c
+        in
+        Array.fill chunks off half c;
+        Bytes.fill owned off half '\000'
+      in
+      (match n.zero with
+      | Some z -> fill off (k - 1) z inherited
+      | None -> leaf off);
+      match n.one with
+      | Some o -> fill (off + half) (k - 1) o inherited
+      | None -> leaf (off + half)
+    end
+  in
+  fill 0 (k0 - cb) node (-1);
+  (chunks, owned)
 
 (* -- DIR-24-8 compilation ------------------------------------------- *)
 
@@ -175,34 +270,46 @@ let rec fill_spill spill off k n inherited =
         done
   end
 
-let build_dir ~root_bits node =
+let build_dir ~root_bits ~count node =
   let levels = (32 - root_bits + 7) / 8 in
   let pad = root_bits + (8 * levels) - 32 in
-  let root = Array.make (1 lsl root_bits) 0 in
   let spill = Gbuf.create 1024 in
-  fill_root root root_bits node (fun n inherited ->
-      let b = Gbuf.reserve spill 256 lsr 8 in
-      fill_spill spill (b lsl 8) 8 n inherited;
-      -(b + 1));
-  let spill = Gbuf.contents spill in
+  let chunks, owned =
+    fill_root ~k0:root_bits ~cb:(min root_bits chunk_bits) node
+      (fun n inherited ->
+        let b = Gbuf.reserve spill 256 lsr 8 in
+        fill_spill spill (b lsl 8) 8 n inherited;
+        -(b + 1))
+  in
   {
     d_root_bits = root_bits;
     d_pad = pad;
-    d_root = root;
-    d_spill = spill;
-    d_spill_base = Array.length spill;
+    d_chunks = chunks;
+    d_owned = owned;
+    d_spill = spill_append [||] spill;
+    d_spill_base = Gbuf.length spill;
+    d_entries = count;
   }
 
 let rec dir_find spill a e shift =
   if e >= 0 then e - 1
   else
+    let b = (-e) - 1 in
     dir_find spill a
-      (Array.unsafe_get spill ((((-e) - 1) lsl 8) + ((a lsr shift) land 0xFF)))
+      (Array.unsafe_get
+         (Array.unsafe_get spill (b lsr seg_bits))
+         (((b land seg_mask) lsl 8) + ((a lsr shift) land 0xFF)))
       (shift - 8)
+
+(* The one extra dependent load of the paged root: the directory entry
+   (2^(root_bits - chunk_bits) words, 32 KB at /24, so L1/L2-resident)
+   before the cell itself. *)
+let[@inline] root_cell d i =
+  Array.unsafe_get (Array.unsafe_get d.d_chunks (i lsr chunk_bits)) (i land chunk_mask)
 
 let lookup_dir d addr =
   let a = addr lsl d.d_pad in
-  let e = Array.unsafe_get d.d_root (a lsr (32 + d.d_pad - d.d_root_bits)) in
+  let e = root_cell d (a lsr (32 + d.d_pad - d.d_root_bits)) in
   if e >= 0 then e - 1
   else dir_find d.d_spill a e (32 + d.d_pad - d.d_root_bits - 8)
 
@@ -277,23 +384,25 @@ let rec build_pop_node nodes leaves idx n inherited =
     | None -> ()
   done
 
-let build_pop ~root_bits node =
+let build_pop ~root_bits ~count node =
   let levels = (32 - root_bits + pop_stride - 1) / pop_stride in
   let pad = root_bits + (pop_stride * levels) - 32 in
-  let root = Array.make (1 lsl root_bits) 0 in
   let nodes = Gbuf.create 256 in
   let leaves = Gbuf.create 256 in
-  fill_root root root_bits node (fun n inherited ->
-      let idx = Gbuf.reserve nodes 4 lsr 2 in
-      build_pop_node nodes leaves idx n inherited;
-      -(idx + 1));
-  ignore (Gbuf.length nodes);
+  let root =
+    (fst
+       (fill_root ~k0:root_bits ~cb:root_bits node (fun n inherited ->
+            let idx = Gbuf.reserve nodes 4 lsr 2 in
+            build_pop_node nodes leaves idx n inherited;
+            -(idx + 1)))).(0)
+  in
   {
     p_root_bits = root_bits;
     p_pad = pad;
     p_root = root;
     p_nodes = Gbuf.contents nodes;
     p_leaves = Gbuf.contents leaves;
+    p_entries = count;
   }
 
 let rec pop_find nodes leaves a idx shift =
@@ -326,40 +435,58 @@ let build ?(variant = `Auto) ?(root_bits = 16) prefixes =
   if root_bits < 8 || root_bits > 24 then
     invalid_arg "Flat_lpm.build: root_bits outside [8, 24]";
   let node, count = build_trie prefixes in
-  let repr =
-    match variant with
-    | `Dir -> Dir_repr (build_dir ~root_bits node)
-    | `Poptrie -> Pop_repr (build_pop ~root_bits node)
-    | `Auto ->
-        (* A flat root pays off when slots are reasonably utilised;
-           sparse tables get the bitmap-compressed layout with a
-           smaller direct-point root. *)
-        if 1 lsl root_bits <= 64 * max 256 count then
-          Dir_repr (build_dir ~root_bits node)
-        else Pop_repr (build_pop ~root_bits:(min root_bits 13) node)
-  in
-  { repr; built_from = count }
+  match variant with
+  | `Dir -> Dir_repr (build_dir ~root_bits ~count node)
+  | `Poptrie -> Pop_repr (build_pop ~root_bits ~count node)
+  | `Auto ->
+      (* A flat root pays off when slots are reasonably utilised;
+         sparse tables get the bitmap-compressed layout with a
+         smaller direct-point root. *)
+      if 1 lsl root_bits <= 64 * max 256 count then
+        Dir_repr (build_dir ~root_bits ~count node)
+      else Pop_repr (build_pop ~root_bits:(min root_bits 13) ~count node)
 
-let lookup t addr =
-  match t.repr with
-  | Dir_repr d -> lookup_dir d (Ipv4.to_int addr)
-  | Pop_repr p -> lookup_pop p (Ipv4.to_int addr)
+(* [Ipv4.t] is a private int: the coercion costs nothing, where a call
+   to [Ipv4.to_int] across the module boundary is not always inlined. *)
+let lookup t (addr : Ipv4.t) =
+  match t with
+  | Dir_repr d -> lookup_dir d (addr :> int)
+  | Pop_repr p -> lookup_pop p (addr :> int)
 
 (* -- in-place patching (DIR root cells only) ------------------------ *)
 
-let copy ?entries t =
-  let built_from = match entries with Some n -> n | None -> t.built_from in
-  match t.repr with
+let copy ?entries:n t =
+  let entries = match n with Some n -> n | None -> entries t in
+  match t with
   | Dir_repr d ->
-      (* The spill array is shared with the source snapshot: [patch]
-         never rewrites existing blocks, it only swaps in an extended
-         copy of the array when a re-pushed cell needs fresh ones, so
-         the source keeps answering from its own reference untouched. *)
-      { repr = Dir_repr { d with d_root = Array.copy d.d_root }; built_from }
-  | Pop_repr _ -> { t with built_from }
+      (* Only the directory is duplicated. Every chunk is now read by
+         two tables, so neither may write one in place any more: the
+         source loses ownership too, or an in-place [patch] of it would
+         write into cells the copy still reads. The spill segments are
+         shared as they are, since [patch] never rewrites a segment. *)
+      let n = Array.length d.d_chunks in
+      Bytes.fill d.d_owned 0 n '\000';
+      Dir_repr
+        {
+          d with
+          d_chunks = Array.copy d.d_chunks;
+          d_owned = Bytes.make n '\000';
+          d_entries = entries;
+        }
+  | Pop_repr p -> Pop_repr { p with p_entries = entries }
+
+(* Write root cell [i], first copying its chunk if another table may
+   still read it. *)
+let set_root_cell d i e =
+  let j = i lsr chunk_bits in
+  if Bytes.unsafe_get d.d_owned j = '\000' then begin
+    d.d_chunks.(j) <- Array.copy d.d_chunks.(j);
+    Bytes.unsafe_set d.d_owned j '\001'
+  end;
+  Array.unsafe_set (Array.unsafe_get d.d_chunks j) (i land chunk_mask) e
 
 let patch t ~budget ~resolve changed =
-  match t.repr with
+  match t with
   | Pop_repr _ -> Error "poptrie layout is never patched"
   | Dir_repr d -> (
       let rb = d.d_root_bits in
@@ -370,7 +497,7 @@ let patch t ~budget ~resolve changed =
            them (blocks are append-only so shared generations stay
            valid); once the orphans have doubled the build-time spill,
            force a recompile to compact it. *)
-        if Array.length d.d_spill > (2 * d.d_spill_base) + 65_536 then
+        if spill_words d.d_spill > (2 * d.d_spill_base) + 65_536 then
           raise (Refuse "orphaned spill blocks need a recompile");
         (* Each changed prefix covers an aligned run of independently
            writable root cells — a single cell when it is longer than
@@ -404,7 +531,7 @@ let patch t ~budget ~resolve changed =
            probe per leaf run under it. *)
         let pad = d.d_pad in
         let cell_bits = 32 + pad - rb in
-        let base_blocks = Array.length d.d_spill lsr 8 in
+        let base_blocks = spill_words d.d_spill lsr 8 in
         let gb = Gbuf.create 256 in
         (* probe at padded address [pa]: the result holds for the rest
            of the matched prefix's aligned run (one address on miss) *)
@@ -435,9 +562,8 @@ let patch t ~budget ~resolve changed =
                   (i, fill (i lsl cell_bits) cell_bits)))
             merged
         in
-        if Gbuf.length gb > 0 then
-          d.d_spill <- Array.append d.d_spill (Gbuf.contents gb);
-        List.iter (fun (i, e) -> Array.unsafe_set d.d_root i e) writes;
+        if Gbuf.length gb > 0 then d.d_spill <- spill_append d.d_spill gb;
+        List.iter (fun (i, e) -> set_root_cell d i e) writes;
         Ok cells
       with Refuse msg -> Error msg)
 

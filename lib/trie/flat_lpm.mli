@@ -9,12 +9,16 @@
 
     Two layouts are provided behind one lookup interface:
 
-    - {b DIR-24-8 style} ([Dir]): a direct-indexed root array of
+    - {b DIR-24-8 style} ([Dir]): a direct-indexed root of
       [2^root_bits] slots (16 or 24 bits of stride) whose entries are
       either a sentinel-encoded result or a pointer into chained
-      256-slot spill blocks covering 8 further bits each. Lookup cost:
-      1 array read for prefixes no longer than the root stride, plus
-      one read per extra 8-bit level.
+      256-slot spill blocks covering 8 further bits each. The root is
+      paged into fixed chunks of [2^12] slots behind a chunk directory
+      ([2^(root_bits - 12)] words, 32 KB at /24), so generations can
+      share unchanged chunks (see {!copy}), and chunks that lie wholly
+      under one prefix share one array per result. Lookup cost: one directory
+      read (L1/L2-resident) and one root read for prefixes no longer
+      than the root stride, plus one read per extra 8-bit level.
     - {b poptrie style} ([Poptrie]): the same direct-indexed root, but
       spill levels are bitmap-compressed multibit nodes with a 5-bit
       stride (32-bit bitmaps fit OCaml's 63-bit native int), children
@@ -30,7 +34,10 @@
     The structure is a compiled snapshot, not an updatable table — but
     the [Dir] root cells are independently writable, so small deltas
     can be {!patch}ed in place (re-leaf-pushing only the covered root
-    range of each changed prefix) instead of paying a full rebuild.
+    range of each changed prefix) instead of paying a full rebuild, and
+    a patched generation can be derived from a published one by
+    {!copy} at the cost of the chunk directory plus the chunks the
+    patch touches.
     Writers keep mutating the authoritative {!Lpm}/{!Bintrie} view and
     either patch or rebuild the snapshot when the dirty set warrants it
     (the epoch protocol of [Fib_snapshot]); deltas that touch spill
@@ -83,15 +90,17 @@ val encode : value:int -> length:int -> int
 (** The encoding used by {!lookup} results (exposed for tests). *)
 
 val copy : ?entries:int -> t -> t
-(** A patchable duplicate: the [Dir] root array is copied, everything
-    else (spill blocks, poptrie node/leaf arrays) is shared — safe
-    because {!patch} writes root cells only and, when a re-pushed cell
-    needs fresh spill blocks, appends them to a private extended copy
-    of the spill array rather than rewriting the shared one. [entries]
+(** A patchable duplicate that costs [O(2^(root_bits - 12))]: only the
+    [Dir] chunk directory is copied, and every root chunk, spill
+    segment and poptrie array is shared. Every chunk is then marked
+    shared in {e both} tables, so a later {!patch} of either one copies
+    a chunk on its first write to it and never writes a cell the other
+    table reads. Spill segments are never rewritten: {!patch} appends
+    fresh blocks by copying only the partial tail segment. [entries]
     overrides the {!entries} count of the duplicate (pass the new cover
     size when the delta installs or removes prefixes). Patching the
     copy never disturbs the source, so published generations stay
-    immutable. *)
+    immutable, and patching the source never disturbs the copy. *)
 
 val patch :
   t ->
@@ -110,7 +119,9 @@ val patch :
     than the root stride are compiled into fresh spill chains appended
     past the live spill blocks (never rewriting existing ones — see
     {!copy}); re-pushing a previously spilled cell orphans its old
-    chain until the next full {!build} compacts the table.
+    chain until the next full {!build} compacts the table. A chunk
+    shared with another table is copied once, on its first write;
+    appending spill costs the new blocks plus one partial segment.
 
     Returns [Ok cells] (the number of root cells rewritten, after
     merging nested deltas). Returns [Error reason] — the caller must
@@ -127,5 +138,7 @@ val entries : t -> int
 (** Number of (deduplicated) prefixes the snapshot was built from. *)
 
 val memory_words : t -> int
-(** Total words of flat-array payload (root + spill/node/leaf arrays) —
-    the footprint the variant heuristic trades off. *)
+(** Total words of flat-array payload (chunk directory + root +
+    spill/node/leaf arrays) — the footprint the variant heuristic
+    trades off. Every root slot counts, including those in chunks shared
+    between slots or with other generations. *)

@@ -349,6 +349,60 @@ let test_mt_engine_determinism_single_domain () =
     r2.M.mt_domains.(0).M.d_defaults;
   check_int "no divergences" 0 r1.M.mt_audit_divergences
 
+(* Allocation gate for the write path's publication: at root /24 a
+   small-delta [publish_delta] copies the chunk directory and the one
+   chunk the delta touches, not the 2^24-cell (128 MB) root. *)
+let test_plane_publish_delta_allocation () =
+  let st = Random.State.make [| 0xA11C |] in
+  let routes = random_routes st 2_000 in
+  let plane = Plane.create ~root_bits:24 ~readers:1 ~default_nh routes in
+  let moved = Prefix.make (Ipv4.of_int 0x0A0B0C00) 24 in
+  let routes' =
+    (moved, Nexthop.of_int 201)
+    :: List.filter (fun (q, _) -> not (Prefix.equal q moved)) routes
+  in
+  let lpm = Cfca_trie.Lpm.of_list routes' in
+  let resolve a =
+    match Cfca_trie.Lpm.lookup lpm a with
+    | Some (q, nh) ->
+        Cfca_trie.Flat_lpm.encode ~value:(Nexthop.to_int nh)
+          ~length:(Prefix.length q)
+    | None -> Cfca_trie.Flat_lpm.miss
+  in
+  let b0 = Gc.allocated_bytes () in
+  ignore (Plane.publish_delta plane ~changed:[ moved ] ~resolve routes');
+  let patched_bytes = Gc.allocated_bytes () -. b0 in
+  check_int "the delta took the patch path" 1 (Plane.patched_publishes plane);
+  if patched_bytes >= 1_048_576.0 then
+    Alcotest.failf "small-delta publish_delta allocated %.0f bytes (>= 1 MB)"
+      patched_bytes;
+  let r = Plane.Reader.make plane 0 in
+  let g = Plane.Reader.pin r in
+  let probes =
+    [ Prefix.network moved; Prefix.last_address moved;
+      Ipv4.succ (Prefix.last_address moved);
+      Ipv4.of_int (Ipv4.to_int (Prefix.network moved) - 1) ]
+    @ List.init 5_000 (fun _ -> Ipv4.random st)
+  in
+  List.iter
+    (fun a ->
+      let want =
+        match Cfca_trie.Lpm.lookup lpm a with
+        | Some (_, nh) -> Nexthop.to_int nh
+        | None -> Nexthop.to_int default_nh
+      in
+      check_int "patched generation = LPM" want (Plane.Reader.lookup r g a))
+    probes;
+  Plane.Reader.unpin r;
+  ignore (Plane.collect plane);
+  (* contrast: a full compile of the same cover builds every chunk of
+     the root that is not wholly uniform *)
+  let b1 = Gc.allocated_bytes () in
+  ignore (Plane.publish plane routes');
+  let full_bytes = Gc.allocated_bytes () -. b1 in
+  check "a full compile allocates >50x the patch" true
+    (full_bytes > 50.0 *. patched_bytes)
+
 (* -- Fib_snapshot: cover + per-domain cells ------------------------- *)
 
 let test_fib_snapshot_cover () =
@@ -357,8 +411,22 @@ let test_fib_snapshot_cover () =
   let routes = random_routes st 300 in
   let rm = RM.create ~default_nh () in
   RM.load rm (List.to_seq routes) ;
-  let cover = Cfca_dataplane.Fib_snapshot.cover (RM.tree rm) in
+  let tree = RM.tree rm in
+  let cover = Cfca_dataplane.Fib_snapshot.cover tree in
   check "cover is non-empty" true (cover <> []);
+  (* in the left-to-right order of the IN_FIB walk *)
+  let walked = ref [] in
+  Cfca_trie.Bintrie.iter_in_fib
+    (fun nd ->
+      walked :=
+        ( Cfca_trie.Bintrie.Node.prefix tree nd,
+          Cfca_trie.Bintrie.Node.installed_nh tree nd )
+        :: !walked)
+    tree;
+  check "cover follows iter_in_fib order" true
+    (List.equal
+       (fun (p, nh) (q, nh') -> Prefix.equal p q && Nexthop.equal nh nh')
+       cover (List.rev !walked));
   (* non-overlapping: no cover prefix contains another *)
   List.iter
     (fun (p, _) ->
@@ -427,6 +495,8 @@ let () =
       ( "plane",
         [
           Alcotest.test_case "lookups = oracle" `Quick test_plane_vs_oracle;
+          Alcotest.test_case "publish_delta allocation gate" `Quick
+            test_plane_publish_delta_allocation;
           Alcotest.test_case "publish, reclaim, telemetry" `Quick
             test_plane_publish_and_telemetry;
         ] );

@@ -463,6 +463,152 @@ let prop_flat_vs_lpm_nested =
     (QCheck.make ~print:print_flat_routes gen_flat_routes)
     flat_agreement_prop
 
+(* -- Flat_lpm generation chains (copy + patch) ------------------------ *)
+
+let resolve_in lpm a =
+  match Lpm.lookup lpm a with
+  | Some (q, v) -> Flat_lpm.encode ~value:v ~length:(Prefix.length q)
+  | None -> Flat_lpm.miss
+
+(* Announce [(q, v)] into a route set that partitions the whole
+   address space, keeping it a partition as the FIB cover is: [patch]'s
+   resolver must cover every address, and its match length must bound
+   a uniform run. Routes inside [q] are swallowed; a route [y] holding
+   [q] is fragmented into the siblings along the path from [y] down to
+   [q], which keep [y]'s payload. Returns the new set and the prefixes
+   whose binding moved. *)
+let announce routes (q, v) =
+  let rec fragments y yv =
+    let toward = Prefix.child y (Prefix.bit q (Prefix.length y)) in
+    let away = Prefix.child y (not (Prefix.bit q (Prefix.length y))) in
+    (away, yv) :: (if Prefix.equal toward q then [] else fragments toward yv)
+  in
+  let gone, kept = List.partition (fun (y, _) -> Prefix.overlaps q y) routes in
+  let split =
+    List.concat_map
+      (fun (y, yv) ->
+        if Prefix.length y < Prefix.length q then fragments y yv else [])
+      gone
+  in
+  (((q, v) :: split) @ kept, q :: List.map fst gone)
+
+let apply_delta routes delta =
+  List.fold_left
+    (fun (set, changed) d ->
+      let set, c = announce set d in
+      (set, c @ changed))
+    (routes, []) delta
+
+(* Prefix lengths relative to the root stride [rb] and the fixed
+   2^12-cell chunk: shorter than [rb - 12] spans several chunks, at most
+   [rb] patches root cells, longer fills spill blocks. *)
+let gen_chain_prefix rb =
+  QCheck.Gen.(
+    let len =
+      frequency
+        ([ (3, int_range 1 rb); (3, int_range (rb + 1) 32) ]
+        @ if rb > 13 then [ (2, int_range 1 (rb - 13)) ] else [])
+    in
+    map2
+      (fun (hi, lo) l -> Prefix.make (Ipv4.of_int ((hi lsl 16) lor lo)) l)
+      (pair (int_bound 0xFFFF) (int_bound 0xFFFF))
+      len)
+
+let gen_chain =
+  QCheck.Gen.(
+    oneofl [ 8; 13; 16 ] >>= fun rb ->
+    (* few payloads, so that equal-length prefixes often encode the
+       same result and compile to one shared uniform chunk *)
+    let route = pair (gen_chain_prefix rb) (int_range 0 3) in
+    let delta = list_size (int_range 1 6) route in
+    map2
+      (fun routes deltas -> (rb, routes, deltas))
+      (list_size (int_range 1 40) route)
+      (list_repeat 5 delta))
+
+let print_chain (rb, routes, deltas) =
+  Printf.sprintf "root_bits=%d routes=[%s] deltas=[%s]" rb
+    (print_flat_routes routes)
+    (String.concat " | " (List.map print_flat_routes deltas))
+
+(* build -> patch in place (the snapshot's use) -> copy -> patch ->
+   copy -> patch, a second copy patched from the same source, then an
+   in-place patch of that already-copied source, all over route sets
+   that partition the address space. After
+   every step every generation made so far must answer exactly like a
+   fresh build of its own prefix set. *)
+let chain_prop (rb, routes, deltas) =
+  let d0, d1, d2, d3, d4 =
+    match deltas with
+    | [ a; b; c; d; e ] -> (a, b, c, d, e)
+    | _ -> assert false
+  in
+  let routes = fst (apply_delta [ (Prefix.default, 0) ] routes) in
+  let every_prefix = routes @ List.concat deltas in
+  let st = Random.State.make [| rb; List.length every_prefix; 0xC4A1 |] in
+  let probes = probes_for every_prefix st in
+  (* generations: (name, table, its current route set) *)
+  let gens = ref [] in
+  let check_all step =
+    List.iter
+      (fun (name, flat, set) ->
+        let fresh = Flat_lpm.build ~variant:`Dir ~root_bits:rb !set in
+        List.iter
+          (fun a ->
+            let got = Flat_lpm.lookup flat a
+            and want = Flat_lpm.lookup fresh a in
+            if got <> want then
+              QCheck.Test.fail_reportf
+                "after %s: generation %s answers %d at %s, a fresh build %d"
+                step name got (Ipv4.to_string a) want)
+          probes)
+      !gens
+  in
+  let add name flat set = gens := !gens @ [ (name, flat, ref set) ] in
+  let find name =
+    let _, flat, set = List.find (fun (n, _, _) -> n = name) !gens in
+    (flat, set)
+  in
+  let patch name delta =
+    let flat, set = find name in
+    let set', changed = apply_delta !set delta in
+    match
+      Flat_lpm.patch flat ~budget:(1 lsl rb)
+        ~resolve:(resolve_in (Lpm.of_list set'))
+        changed
+    with
+    | Ok _ -> set := set'
+    | Error _ -> () (* refusals leave the table untouched *)
+  in
+  let copy ~src name =
+    let flat, set = find src in
+    add name (Flat_lpm.copy flat) !set
+  in
+  add "g0" (Flat_lpm.build ~variant:`Dir ~root_bits:rb routes) routes;
+  check_all "build";
+  patch "g0" d0;
+  check_all "in-place patch of the fresh build g0";
+  copy ~src:"g0" "g1";
+  check_all "copy g0 -> g1";
+  patch "g1" d1;
+  check_all "patch g1";
+  copy ~src:"g1" "g2";
+  check_all "copy g1 -> g2";
+  patch "g2" d2;
+  check_all "patch g2";
+  copy ~src:"g1" "g3";
+  patch "g3" d3;
+  check_all "second copy g1 -> g3, patch g3";
+  patch "g1" d4;
+  check_all "patch the copied source g1";
+  true
+
+let prop_flat_generation_chain =
+  QCheck.Test.make ~count:80
+    ~name:"Flat_lpm copy/patch chains keep every generation intact"
+    (QCheck.make ~print:print_chain gen_chain)
+    chain_prop
+
 (* The hot-path contract: steady-state lookups allocate nothing. *)
 let test_flat_alloc_free () =
   let st = Random.State.make [| 7; 0xA110C |] in
@@ -529,5 +675,10 @@ let () =
             test_flat_alloc_free;
         ] );
       ( "flat-lpm-properties",
-        qt [ prop_flat_vs_lpm_disjoint; prop_flat_vs_lpm_nested ] );
+        qt
+          [
+            prop_flat_vs_lpm_disjoint;
+            prop_flat_vs_lpm_nested;
+            prop_flat_generation_chain;
+          ] );
     ]
